@@ -14,8 +14,6 @@
  *   --service-cycles N per-request compute at the server (2000)
  *   --seed N           arrival-process seed (1)
  *   --kernels K        kernel instances
- *   --shards=K         engine shards (requires K == --kernels)
- *   --threads=N        host threads (M3_SHARDS / M3_THREADS set defaults)
  *   --slo=FILE         enable request tracing, write the SLO report
  *                      ("-" = stdout)
  *   --trace=FILE       Chrome trace (request span tree included when
@@ -24,6 +22,7 @@
  *   --json             machine-readable run summary on stdout
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +31,6 @@
 #include "trace/metrics.hh"
 #include "trace/reqtrace.hh"
 #include "trace/trace.hh"
-#include "workloads/engine_opts.hh"
 #include "workloads/openloop.hh"
 
 using namespace m3;
@@ -48,8 +46,7 @@ usage()
                  "usage: openloop [--clients N] [--requests N] "
                  "[--mean-gap N]\n"
                  "  [--service-cycles N] [--seed N] [--kernels K]\n"
-                 "  [--shards=K] [--threads=N] [--slo=FILE] "
-                 "[--trace=FILE]\n"
+                 "  [--slo=FILE] [--trace=FILE]\n"
                  "  [--metrics=FILE] [--json]\n");
     std::exit(2);
 }
@@ -60,8 +57,6 @@ int
 main(int argc, char **argv)
 {
     OpenLoopOpts opts;
-    EngineArgs eng;
-    eng.loadEnv();
     std::string sloFile;
     std::string traceFile;
     std::string metricsFile;
@@ -75,10 +70,21 @@ main(int argc, char **argv)
             return static_cast<uint64_t>(
                 std::strtoull(argv[++i], nullptr, 0));
         };
+        // Counts are 32-bit: reject what would silently wrap.
+        auto countArg = [&] {
+            uint64_t v = intArg();
+            if (v > UINT32_MAX) {
+                std::fprintf(stderr, "openloop: %s %llu exceeds %u\n",
+                             arg.c_str(), (unsigned long long)v,
+                             UINT32_MAX);
+                std::exit(2);
+            }
+            return static_cast<uint32_t>(v);
+        };
         if (arg == "--clients") {
-            opts.clients = static_cast<uint32_t>(intArg());
+            opts.clients = countArg();
         } else if (arg == "--requests") {
-            opts.requestsPerClient = static_cast<uint32_t>(intArg());
+            opts.requestsPerClient = countArg();
         } else if (arg == "--mean-gap") {
             opts.meanGapCycles = intArg();
         } else if (arg == "--service-cycles") {
@@ -86,9 +92,7 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             opts.seed = intArg();
         } else if (arg == "--kernels") {
-            opts.numKernels = static_cast<uint32_t>(intArg());
-        } else if (eng.parse(arg)) {
-            // --threads= / --shards= handled by EngineArgs.
+            opts.numKernels = countArg();
         } else if (arg.rfind("--slo=", 0) == 0) {
             sloFile = arg.substr(6);
         } else if (arg.rfind("--trace=", 0) == 0) {
@@ -101,8 +105,6 @@ main(int argc, char **argv)
             usage();
         }
     }
-    opts.threads = eng.threads;
-    opts.shards = eng.shards;
 
     if (!sloFile.empty())
         trace::ReqTrace::enable();

@@ -16,11 +16,8 @@ namespace
 
 /**
  * Pending PE re-homes for VPEs restarting after a failover. The
- * fiber -> Env mapping itself lives on the Fiber (Fiber::setUserEnv):
- * a per-fiber slot needs no synchronization when fibers execute on
- * different engine shards, where a shared map would (writes to this map
- * only happen via migration/failover hooks, which the sharded engine
- * rejects at configuration time).
+ * fiber -> Env mapping itself lives on the Fiber (Fiber::setUserEnv),
+ * so Env::cur() is one pointer load instead of a map lookup.
  */
 std::unordered_map<vpeid_t, peid_t> &
 pendingHomes()

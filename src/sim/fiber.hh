@@ -152,9 +152,9 @@ class Fiber
 
     /**
      * Opaque per-fiber slot for the environment object bound to this
-     * fiber (libm3's Env). Lives here instead of in a global map so the
-     * lookup is race-free when fibers run on different engine shards;
-     * sim/ stays below libm3, hence the type erasure.
+     * fiber (libm3's Env). Lives here instead of in a global map, so
+     * the lookup is one load; sim/ stays below libm3, hence the type
+     * erasure.
      */
     void setUserEnv(void *env) { userEnv = env; }
     void *getUserEnv() const { return userEnv; }

@@ -25,9 +25,8 @@ struct Registry
     std::map<std::string, Counter> counters;
     std::map<std::string, Gauge> gauges;
     std::map<std::string, Histogram> histograms;
-    /** Guards map *insertion* (shards may first-touch a metric
-     *  concurrently); the cells themselves are atomics, and map nodes
-     *  are stable, so cached references never need the lock. */
+    /** Guards map *insertion*; the cells themselves are atomics, and
+     *  map nodes are stable, so cached references never need the lock. */
     std::mutex mu;
 };
 

@@ -31,13 +31,10 @@ namespace trace
 {
 
 /**
- * Metric cells are relaxed atomics so shards of the parallel engine can
- * record concurrently. Relaxed is enough: cells are independent counters
- * whose totals are pure sums/extrema of a deterministic observation set,
- * and every read that matters happens after the engine joined its
- * workers. Plain reads (`c.value`, `h.count`) keep compiling through the
- * implicit conversion; on x86 a relaxed add is the same instruction a
- * plain add was, so the serial engine pays nothing.
+ * Metric cells are relaxed atomics, so any host thread may record into
+ * them. Relaxed is enough: cells are independent counters whose totals
+ * are pure sums/extrema of a deterministic observation set. Plain reads
+ * (`c.value`, `h.count`) keep compiling through the implicit conversion.
  */
 
 /** A monotonically increasing count. */

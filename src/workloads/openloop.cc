@@ -38,7 +38,7 @@ constexpr uint32_t OL_MSG = 256;
 /**
  * Deterministic exponential inter-arrival gaps: a splitmix-style mix of
  * (seed, client, index) feeds the inverse-CDF. A pure function, so the
- * arrival process is identical across repeats and thread counts.
+ * arrival process is identical across repeats.
  */
 uint64_t
 mix64(uint64_t seed, uint32_t client, uint32_t idx)
@@ -61,12 +61,15 @@ poissonGap(uint64_t seed, uint32_t client, uint32_t idx, uint64_t mean)
     return 1 + static_cast<Cycles>(gap);
 }
 
-/** Request ids: non-zero, unique, assigned without any shared counter
- *  (determinism on the sharded engine). */
+/** Request ids: non-zero and unique, assigned without a shared counter.
+ *  Unique only while idx < 2^REQ_ID_CLIENT_BITS and the result fits the
+ *  40-bit id field of a ReqCtx; runOpenLoop checks both. */
+constexpr uint32_t REQ_ID_CLIENT_BITS = 20;
+
 constexpr uint64_t
 requestId(uint32_t client, uint32_t idx)
 {
-    return (uint64_t{client} << 20) + idx + 1;
+    return (uint64_t{client} << REQ_ID_CLIENT_BITS) + idx + 1;
 }
 
 /** The service program: a KV store with an echo fast path, run as a
@@ -270,6 +273,19 @@ appendU64(std::string &out, const char *key, uint64_t v, bool comma = true)
 OpenLoopResult
 runOpenLoop(const OpenLoopOpts &opts)
 {
+    constexpr uint64_t perClient = uint64_t{1} << REQ_ID_CLIENT_BITS;
+    constexpr uint64_t maxClients = uint64_t{1} << (40 - REQ_ID_CLIENT_BITS);
+    if (opts.requestsPerClient > perClient)
+        fatal("openloop: %u requests per client exceed the %llu that "
+              "request ids can tell apart (client << %u, plus index)",
+              opts.requestsPerClient,
+              static_cast<unsigned long long>(perClient),
+              REQ_ID_CLIENT_BITS);
+    if (opts.clients >= maxClients)
+        fatal("openloop: %u clients overflow the 40-bit request-id field "
+              "(at most %llu)",
+              opts.clients, static_cast<unsigned long long>(maxClients - 1));
+
     OpenLoopResult res;
     if (trace::ReqTrace::on)
         trace::ReqTrace::reset();
@@ -282,9 +298,6 @@ runOpenLoop(const OpenLoopOpts &opts)
     cfg.numKernels = opts.numKernels;
     // Root + service + one PE per client.
     cfg.appPes = opts.clients + 2;
-    if (opts.shards > 1 && opts.shards == opts.numKernels)
-        cfg.shards = opts.shards;
-    cfg.threads = opts.threads ? opts.threads : 1;
 
     M3System sys(std::move(cfg));
 
@@ -341,7 +354,7 @@ runOpenLoop(const OpenLoopOpts &opts)
 
     if (trace::ReqTrace::on) {
         // The SLO report. Pure simulated integers: byte-identical across
-        // repeats and thread counts. "Offered" rates over the generation
+        // repeats. "Offered" rates over the generation
         // window; the verdict calls the offered load sustainable when
         // the completion tail past the last arrival stays within 10% of
         // the arrival window (the system kept pace instead of building

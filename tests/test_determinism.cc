@@ -243,7 +243,7 @@ TEST(Determinism, MigrationOffMatchesSeedPins)
 
 TEST(Determinism, MultiKernelScalabilityReproduces)
 {
-    // Sharded control plane: remote placement, cross-domain session
+    // Multi-kernel control plane: remote placement, cross-domain session
     // opens and the inter-kernel rings must replay bit-identically.
     M3RunOpts opts;
     opts.numKernels = 2;
@@ -356,63 +356,47 @@ TEST(Determinism, DistfsOffMatchesSeedPins)
     EXPECT_EQ(h, 0x644597d5ae523cf2ull);
 }
 
-TEST(Determinism, DistfsThreadCountInvariant)
+/** Run the scalability benchmark @p bench x @p n on @p opts with the
+ *  tracer on: exit code, per-instance cycles, engine events, trace JSON. */
+auto
+tracedScalability(const std::string &bench, uint32_t n, const M3RunOpts &opts)
 {
-    // A striped machine under the parallel engine: two kernel domains,
-    // one stripe server in each, clients fanning metadata out across
-    // the domain boundary and moving data on parallel transfer slots.
-    // Per-instance cycles, event counts and trace bytes must not depend
-    // on the host thread count.
-    auto run = [](uint32_t threads) {
-        trace::Tracer::enable(1 << 16);
-        trace::Tracer::reset();
-        M3RunOpts opts;
-        opts.distfsStripes = 2;
-        opts.numKernels = 2;
-        opts.shards = 2;
-        opts.threads = threads;
-        ScalabilityResult r = runM3Scalability("tar", 2, opts);
-        std::string json = trace::Tracer::toJson();
-        trace::Tracer::disable();
-        return std::make_tuple(r.rc, r.instances, r.events, json);
-    };
-    auto base = run(1);
-    ASSERT_EQ(std::get<0>(base), 0);
-    ASSERT_GT(std::get<3>(base).size(), 0u);
-    for (uint32_t threads : {2u, 4u}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        EXPECT_EQ(run(threads), base);
-    }
+    trace::Tracer::enable(1 << 16);
+    trace::Tracer::reset();
+    ScalabilityResult r = runM3Scalability(bench, n, opts);
+    std::string json = trace::Tracer::toJson();
+    trace::Tracer::disable();
+    return std::make_tuple(r.rc, r.instances, r.events, json);
 }
 
-TEST(Determinism, ThreadCountInvariant)
+TEST(Determinism, DistfsMultiKernelRepeatsExactly)
 {
-    // The parallel engine's core promise: the simulated machine is a
-    // pure function of the configuration — the host thread count only
-    // changes which core drives which shard. A fig6-class multi-kernel
-    // machine with the engine sharded along its 4 domains must produce
-    // identical per-instance cycles, event counts and trace bytes at
-    // every thread count.
-    auto run = [](uint32_t threads) {
-        trace::Tracer::enable(1 << 16);
-        trace::Tracer::reset();
-        M3RunOpts opts;
-        opts.numKernels = 4;
-        opts.fsInstances = 4;
-        opts.shards = 4;
-        opts.threads = threads;
-        ScalabilityResult r = runM3Scalability("tar", 8, opts);
-        std::string json = trace::Tracer::toJson();
-        trace::Tracer::disable();
-        return std::make_tuple(r.rc, r.instances, r.events, json);
-    };
-    auto base = run(1);
-    ASSERT_EQ(std::get<0>(base), 0);
-    ASSERT_GT(std::get<3>(base).size(), 0u);
-    for (uint32_t threads : {2u, 4u, 8u}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        EXPECT_EQ(run(threads), base);
-    }
+    // A striped machine across two kernel domains, one stripe server in
+    // each, clients fanning metadata out across the domain boundary and
+    // moving data on parallel transfer slots. Per-instance cycles, event
+    // counts and trace bytes must replay exactly.
+    M3RunOpts opts;
+    opts.distfsStripes = 2;
+    opts.numKernels = 2;
+    auto a = tracedScalability("tar", 2, opts);
+    ASSERT_EQ(std::get<0>(a), 0);
+    ASSERT_GT(std::get<3>(a).size(), 0u);
+    EXPECT_EQ(tracedScalability("tar", 2, opts), a);
+}
+
+TEST(Determinism, FourKernelTarRepeatsExactly)
+{
+    // A fig6-class machine with four kernel domains and four m3fs
+    // instances: remote placement, inter-kernel rings and per-domain
+    // file servers must replay identical per-instance cycles, event
+    // counts and trace bytes.
+    M3RunOpts opts;
+    opts.numKernels = 4;
+    opts.fsInstances = 4;
+    auto a = tracedScalability("tar", 8, opts);
+    ASSERT_EQ(std::get<0>(a), 0);
+    ASSERT_GT(std::get<3>(a).size(), 0u);
+    EXPECT_EQ(tracedScalability("tar", 8, opts), a);
 }
 
 } // anonymous namespace

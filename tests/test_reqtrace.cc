@@ -2,9 +2,8 @@
  * @file
  * The request-tracing layer's own contract (DESIGN.md §13): tracing a
  * request may never move a simulated cycle, must record nothing when
- * off, and must export byte-identical artifacts across repeated runs
- * and across engine thread counts — the SLO report is a function of the
- * workload, not of the host.
+ * off, and must export byte-identical artifacts across repeated runs —
+ * the SLO report is a function of the workload, not of the host.
  */
 
 #include <gtest/gtest.h>
@@ -117,28 +116,28 @@ TEST_F(ReqTraceTest, SloReportIsByteIdenticalAcrossRepeats)
     EXPECT_EQ(a.sloJson, b.sloJson);
 }
 
-TEST_F(ReqTraceTest, ArtifactsAreByteIdenticalAcrossThreadCounts)
+TEST_F(ReqTraceTest, MultiKernelArtifactsAreByteIdenticalAcrossRepeats)
 {
-    std::string slo[3], traceJson[3];
-    uint32_t threads[3] = {1, 2, 4};
-    for (int i = 0; i < 3; ++i) {
+    // Clients and the service spread over two kernel domains: the SLO
+    // report, the request trace and the event count must replay exactly.
+    std::string slo[2], traceJson[2];
+    uint64_t events[2] = {};
+    for (int i = 0; i < 2; ++i) {
         trace::Tracer::reset();
         trace::Tracer::enable();
         trace::ReqTrace::enable();
         OpenLoopOpts o = smallRun();
         o.numKernels = 2;
-        o.shards = 2;
-        o.threads = threads[i];
         OpenLoopResult r = runOpenLoop(o);
-        ASSERT_EQ(r.rc, 0) << "threads=" << threads[i];
+        ASSERT_EQ(r.rc, 0) << "run " << i;
         slo[i] = r.sloJson;
         traceJson[i] = trace::Tracer::toJson();
+        events[i] = r.events;
     }
     ASSERT_FALSE(slo[0].empty());
     EXPECT_EQ(slo[0], slo[1]);
-    EXPECT_EQ(slo[0], slo[2]);
     EXPECT_EQ(traceJson[0], traceJson[1]);
-    EXPECT_EQ(traceJson[0], traceJson[2]);
+    EXPECT_EQ(events[0], events[1]);
 
     // Every request leg's flow arrow pairs up: one 's' per 'f'.
     EXPECT_GT(countSub(traceJson[0], "\"ph\":\"s\""), 0u);
@@ -211,6 +210,21 @@ TEST_F(ReqTraceTest, MetricsCarryQuantilesNextToBuckets)
     uint64_t exact = jsonU64(slo, "p50", cat);
     EXPECT_GE(est, exact);
     EXPECT_LE(est, exact * 2 + 1);
+}
+
+TEST(ReqTraceDeathTest, OpenLoopRejectsAliasingRequestIds)
+{
+    // Request ids are (client << 20) + index + 1 in a 40-bit field. Both
+    // limits must fail before a machine is built: the client-count case
+    // would otherwise ask for a million-PE machine.
+    OpenLoopOpts many = smallRun();
+    many.requestsPerClient = (1u << 20) + 1;
+    EXPECT_EXIT(runOpenLoop(many), ::testing::ExitedWithCode(1),
+                "requests per client exceed");
+    OpenLoopOpts wide = smallRun();
+    wide.clients = 1u << 20;
+    EXPECT_EXIT(runOpenLoop(wide), ::testing::ExitedWithCode(1),
+                "clients overflow the 40-bit request-id field");
 }
 
 } // anonymous namespace
